@@ -141,8 +141,16 @@ verify-smoke: build
 		$(CLI) verify "$$c" || exit 1; \
 		$(CLI) verify "$$c" --backend surgery || exit 1; \
 	done
-	@echo "verify fixtures/batch_manifest.json"; \
-	$(CLI) verify fixtures/batch_manifest.json || exit 1
+	@echo "verify fixtures/batch_manifest.json (every job, baseline included)"; \
+	log=$$(mktemp); \
+	$(CLI) verify fixtures/batch_manifest.json 2> "$$log" || { cat "$$log"; exit 1; }; \
+	if grep -q skipping "$$log"; then \
+		cat "$$log"; echo "verify-smoke: a manifest job was skipped"; exit 1; \
+	fi; \
+	rm -f "$$log"
+	@echo "compile qft9 -s baseline --certify"; \
+	$(CLI) compile qft9 -s baseline --certify >/dev/null \
+		|| { echo "verify-smoke: baseline schedule failed certification"; exit 1; }
 	@$(CLI) verify no-such-circuit >/dev/null 2>&1; \
 	[ $$? -eq 2 ] || { echo "verify-smoke: bad input should exit 2"; exit 1; }
 	@$(CLI) verify qft9 --json | grep -q '"schema": "autobraid-cert/v1"' \

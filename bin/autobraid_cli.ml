@@ -1245,20 +1245,18 @@ let verify_cmd =
         in
         match Qec_engine.Spec.manifest_of_string text with
         | Ok specs ->
-          (* Baseline / best_p jobs never record a trace, so there is
-             nothing independent to certify — skip them with a note
-             rather than fail a manifest that batch itself accepts. *)
+          (* best_p jobs never record a trace, so there is nothing
+             independent to certify — skip them with a note rather than
+             fail a manifest that batch itself accepts. *)
           let certifiable, untraced =
             List.partition
-              (fun (s : Qec_engine.Spec.t) ->
-                s.scheduler <> Qec_engine.Spec.Baseline && not s.best_p)
+              (fun (s : Qec_engine.Spec.t) -> not s.best_p)
               specs
           in
           List.iter
             (fun (s : Qec_engine.Spec.t) ->
-              Printf.eprintf "skipping %s: %s runs record no trace to certify\n"
-                s.circuit
-                (if s.best_p then "best_p" else "baseline"))
+              Printf.eprintf "skipping %s: best_p runs record no trace to certify\n"
+                s.circuit)
             untraced;
           if certifiable = [] then begin
             Printf.eprintf "%s: no certifiable job in manifest\n" target;

@@ -1,12 +1,7 @@
-module Circuit = Qec_circuit.Circuit
-module Dag = Qec_circuit.Dag
-module Decompose = Qec_circuit.Decompose
-module Grid = Qec_lattice.Grid
-module Occupancy = Qec_lattice.Occupancy
 module Router = Qec_lattice.Router
-module Timing = Qec_surface.Timing
 module Task = Autobraid.Task
 module Scheduler = Autobraid.Scheduler
+module Stack_finder = Autobraid.Stack_finder
 
 type route_kind = Dimension_ordered | Astar
 
@@ -25,9 +20,9 @@ let default_options =
     seed = 11;
   }
 
-(* The baseline is not in the Comm_backend registry (it produces no
-   trace), but it speaks the same per-backend options codec so the engine
-   decodes every backend's knobs uniformly. *)
+(* The baseline is not in the Comm_backend registry (manifests select it
+   as a scheduler kind), but it speaks the same per-backend options codec
+   so the engine decodes every backend's knobs uniformly. *)
 let options_spec =
   let open Autobraid.Comm_backend.Options in
   [
@@ -50,97 +45,44 @@ let of_backend_options opts base =
       | _ -> Dimension_ordered);
   }
 
-let run ?(options = default_options) timing circuit : Scheduler.result =
-  let t0 = Sys.time () in
-  let circuit = Decompose.to_scheduler_gates circuit in
-  let n = Circuit.num_qubits circuit in
-  let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:n) in
-  let grid = Grid.create side in
-  let placement =
-    Autobraid.Initial_layout.place ~seed:options.seed ~method_:options.initial
-      circuit grid
+(* One greedy round: shortest operand distance first, id breaks ties; each
+   gate takes its route if one is free, else waits for a later round. *)
+let round_route options : Scheduler.round_route =
+ fun ~round:_ ~router ~occ ~placement tasks ->
+  (* Dimension-ordered (braidflash-style) routing by default: no detours;
+     a blocked L-route means the braid stalls until a later round. The A*
+     variant is an ablation. *)
+  let route_one ~src_cell ~dst_cell =
+    match options.router with
+    | Dimension_ordered ->
+      Router.route_dimension_ordered_and_reserve router occ ~src_cell ~dst_cell
+    | Astar -> Router.route_and_reserve router occ ~src_cell ~dst_cell
   in
-  let dag = Dag.of_circuit circuit in
-  let frontier = Dag.Frontier.create dag in
-  let router = Router.create grid in
-  let occ = Occupancy.create grid in
-  let cycles = ref 0 and rounds = ref 0 and braid_rounds = ref 0 in
-  let util_sum = ref 0. and util_peak = ref 0. in
-  while not (Dag.Frontier.is_done frontier) do
-    let ready = Dag.Frontier.ready frontier in
-    let singles, cx_tasks =
-      List.fold_left
-        (fun (singles, cxs) id ->
-          match Task.of_gate id (Circuit.gate circuit id) with
-          | Some t -> (singles, t :: cxs)
-          | None -> (id :: singles, cxs))
-        ([], []) ready
-    in
-    let singles = List.rev singles and cx_tasks = List.rev cx_tasks in
-    if cx_tasks = [] then begin
-      List.iter (Dag.Frontier.complete frontier) singles;
-      cycles := !cycles + Timing.single_qubit_cycles timing;
-      incr rounds
-    end
-    else begin
-      Occupancy.clear occ;
-      (* Greedy order: shortest operand distance first; id breaks ties. *)
-      let order =
-        List.sort
-          (fun a b ->
-            let da = Task.distance placement a
-            and db = Task.distance placement b in
-            if da <> db then compare da db
-            else compare a.Task.id b.Task.id)
-          cx_tasks
-      in
-      (* Dimension-ordered (braidflash-style) routing by default: no
-         detours; a blocked L-route means the braid stalls until a later
-         round. The A* variant is an ablation. *)
-      let route_one ~src_cell ~dst_cell =
-        match options.router with
-        | Dimension_ordered ->
-          Router.route_dimension_ordered_and_reserve router occ ~src_cell
-            ~dst_cell
-        | Astar -> Router.route_and_reserve router occ ~src_cell ~dst_cell
-      in
-      let routed =
-        List.filter_map
-          (fun (task : Task.t) ->
-            let src_cell, dst_cell = Task.cells placement task in
-            match route_one ~src_cell ~dst_cell with
-            | Some p -> Some (task, p)
-            | None -> None)
-          order
-      in
-      List.iter
-        (fun ((t : Task.t), _) -> Dag.Frontier.complete frontier t.id)
-        routed;
-      List.iter (Dag.Frontier.complete frontier) singles;
-      let u = Occupancy.utilization occ in
-      util_sum := !util_sum +. u;
-      if u > !util_peak then util_peak := u;
-      cycles := !cycles + Timing.braid_cycles timing;
-      incr rounds;
-      incr braid_rounds
-    end
-  done;
+  let key (t : Task.t) = (Task.distance placement t, t.id) in
+  let routed, failed =
+    List.sort (fun a b -> compare (key a) (key b)) tasks
+    |> List.partition_map (fun (task : Task.t) ->
+           let src_cell, dst_cell = Task.cells placement task in
+           match route_one ~src_cell ~dst_cell with
+           | Some p -> Left (task, p)
+           | None -> Right task)
+  in
   {
-    Scheduler.name = Circuit.name circuit;
-    num_qubits = n;
-    num_gates = Circuit.length circuit;
-    num_two_qubit = Circuit.two_qubit_count circuit;
-    lattice_side = side;
-    total_cycles = !cycles;
-    rounds = !rounds;
-    braid_rounds = !braid_rounds;
-    swap_layers = 0;
-    swaps_inserted = 0;
-    critical_path_cycles =
-      Dag.critical_path ~cost:(Timing.gate_cycles timing) dag;
-    avg_utilization =
-      (if !braid_rounds = 0 then 0.
-       else !util_sum /. float_of_int !braid_rounds);
-    peak_utilization = !util_peak;
-    compile_time_s = Sys.time () -. t0;
+    Stack_finder.routed;
+    failed;
+    ratio =
+      float_of_int (List.length routed) /. float_of_int (List.length tasks);
   }
+
+let run_traced ?(options = default_options) timing circuit =
+  Scheduler.run_traced_with ~route:(round_route options)
+    ~options:
+      {
+        Scheduler.default_options with
+        variant = Sp;
+        initial = options.initial;
+        seed = options.seed;
+      }
+    timing circuit
+
+let run ?options timing circuit = fst (run_traced ?options timing circuit)

@@ -4,12 +4,14 @@
 
     Greedy policy: each round, sort the ready CX gates by operand distance
     (shortest first — shortest paths consume minimal routing resources) and
-    A*-route them in that order; gates that fail wait for the next round.
+    route them in that order; gates that fail wait for the next round.
     The qubit placement comes from the graph partitioner ("initM") and is
     {e static} for the whole execution — no LLG analysis, no stack
-    ordering, no retry, no SWAP insertion. Latency accounting is identical
-    to {!Autobraid.Scheduler} so the comparison isolates the scheduling
-    policy. *)
+    ordering, no retry, no SWAP insertion. The policy is a
+    {!Autobraid.Scheduler.round_route} run through
+    {!Autobraid.Scheduler.run_traced_with} ([Sp] variant), so frontier
+    bookkeeping, latency accounting and the trace are the main
+    scheduler's own and the comparison isolates the routing policy. *)
 
 type route_kind =
   | Dimension_ordered
@@ -30,9 +32,9 @@ val default_options : options
 val options_spec : Autobraid.Comm_backend.Options.spec list
 (** The baseline's knobs in the shared per-backend options codec:
     [router] (["dimension"|"astar"]). The baseline stays out of the
-    {!Autobraid.Comm_backend} registry (it produces no trace), but the
-    engine decodes its [backend_options] against this spec like any
-    registered backend's. *)
+    {!Autobraid.Comm_backend} registry (manifests select it as a
+    scheduler kind), but the engine decodes its [backend_options] against
+    this spec like any registered backend's. *)
 
 val of_backend_options :
   Autobraid.Comm_backend.Options.t -> options -> options
@@ -45,4 +47,13 @@ val run :
   Qec_circuit.Circuit.t ->
   Autobraid.Scheduler.result
 (** Same result record as the main scheduler ([swap_layers] and
-    [swaps_inserted] are always 0). *)
+    [swaps_inserted] are always 0). [fst] of {!run_traced}. *)
+
+val run_traced :
+  ?options:options ->
+  Qec_surface.Timing.t ->
+  Qec_circuit.Circuit.t ->
+  Autobraid.Scheduler.result * Autobraid.Trace.t
+(** {!run}, with the per-round schedule it made ({!Autobraid.Trace}) —
+    the input the independent certifier ([Qec_verify.Certifier])
+    replays. *)

@@ -298,14 +298,8 @@ let run_traced_with ?route ?(options = default_options) timing circuit =
 let default_grid_points = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
 
 let run_best_p ?(options = default_options) ?(grid_points = default_grid_points)
-    ?(parallel = false) ?jobs timing circuit =
-  (* [?jobs] is the worker-pool API; [?parallel] survives one release as a
-     deprecated alias meaning "all available workers". *)
-  let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> if parallel then Qec_util.Parallel.default_jobs () else 1
-  in
+    ?(jobs = 1) timing circuit =
+  let jobs = max 1 jobs in
   (* Initial placement (including the annealing fine-tune) is independent
      of the threshold, so compute it once for the whole sweep. *)
   let options =

@@ -112,12 +112,12 @@ val run_traced_with :
     bookkeeping, trace emission, SWAP-layer logic and cycle accounting
     stay shared, only the path search is replaced. With [route] absent
     this {e is} [run_traced] (same code path). The seam the lookahead
-    backend ([Qec_lookahead]) schedules through. *)
+    backend ([Qec_lookahead]) and the greedy baseline ([Gp_baseline])
+    schedule through. *)
 
 val run_best_p :
   ?options:options ->
   ?grid_points:float list ->
-  ?parallel:bool ->
   ?jobs:int ->
   Qec_surface.Timing.t ->
   Qec_circuit.Circuit.t ->
@@ -127,8 +127,4 @@ val run_best_p :
     [jobs > 1] the thresholds run on a {!Qec_util.Parallel} worker pool of
     that size — identical results in identical order, shorter wall time,
     but [compile_time_s] then counts CPU across domains. [jobs] defaults
-    to 1 (sequential).
-
-    [parallel] is {b deprecated} (one-release alias, see docs/engine.md):
-    [~parallel:true] behaves like [~jobs:(Parallel.default_jobs ())] and
-    is ignored when [jobs] is given. *)
+    to 1 (sequential). *)

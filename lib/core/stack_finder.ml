@@ -129,12 +129,48 @@ let planned_order ?priority_of placement tasks =
   in
   remaining @ stack
 
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun (t : Task.t) ->
+        List.map
+          (fun rest -> t :: rest)
+          (permutations (List.filter (fun (u : Task.t) -> u.id <> t.id) l)))
+      l
+
+(* Theorem 1: at most three gates on an otherwise empty lattice always
+   route in full in some order (each of their LLGs has at most three
+   members, and disjoint LLG boxes do not interfere). The planned order
+   and the failed-first retry can still strand one, e.g. when an
+   equal-length detour of one gate seals another gate's tile in. Rip the
+   round up and try its orders, keeping the first that routes every gate;
+   if none does, the round keeps its paths. Like the retry, the search is
+   not confined: a confined route can be the one that seals a tile in. *)
+let route_some_order router occ placement tasks (routed, failed) =
+  List.iter (fun (_, p) -> Occupancy.release_path occ p) routed;
+  let complete order =
+    match route_in_order router occ placement order with
+    | r, [] -> Some r
+    | r, _ ->
+      List.iter (fun (_, p) -> Occupancy.release_path occ p) r;
+      None
+  in
+  match List.find_map complete (permutations tasks) with
+  | Some r ->
+    Tel.count "stack_finder.theorem1_rescues";
+    (r, [])
+  | None ->
+    List.iter (fun (_, p) -> Occupancy.reserve_path occ p) routed;
+    (routed, failed)
+
 let find ?(retry = true) ?(confine_llg = false) ?priority_of router occ
     placement tasks =
   match tasks with
   | [] -> { routed = []; failed = []; ratio = 1.0 }
   | _ ->
     let total = List.length tasks in
+    let theorem1 = total <= 3 && Occupancy.occupied_count occ = 0 in
     let order = planned_order ?priority_of placement tasks in
     (* Theorem 1/2 confinement: gates in guaranteed LLGs (size <= 3 or
        strictly nested) first search inside their group's bounding box,
@@ -174,6 +210,10 @@ let find ?(retry = true) ?(confine_llg = false) ?priority_of router occ
         end
       end
       else (routed, failed)
+    in
+    let routed, failed =
+      if failed = [] || not theorem1 then (routed, failed)
+      else route_some_order router occ placement tasks (routed, failed)
     in
     Tel.count ~by:(List.length routed) "stack_finder.gates_routed";
     Tel.count ~by:(List.length failed) "stack_finder.gates_failed";

@@ -17,7 +17,11 @@
     On top of Fig. 13 we add one {e failed-first retry}: if some gates
     could not be routed, the whole round is re-routed once with the failed
     gates first (the Fig. 8 situation — search order, not capacity, was the
-    obstacle); the better of the two attempts is kept. *)
+    obstacle); the better of the two attempts is kept. If gates still
+    fail in Theorem 1's setting — at most three gates on an otherwise
+    empty occupancy — every order of the round is tried (at most 6) and
+    the first that routes them all is kept, so the theorem holds by
+    construction. *)
 
 type outcome = {
   routed : (Task.t * Qec_lattice.Path.t) list;

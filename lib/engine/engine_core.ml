@@ -125,6 +125,27 @@ let exec cache (spec : Spec.t) =
     else circuit
   in
   let timing = Timing.make ~d:spec.d () in
+  (* Every traced run ends here. Self-certification happens on the
+     caller's own domain, so batch and serve workers certify in parallel
+     with no extra plumbing. *)
+  let traced ~backend ~result ~stats trace =
+    let certificate =
+      if spec.outputs.Spec.certificate then
+        Some (Qec_verify.Certifier.certify ~backend ~result timing trace)
+      else None
+    in
+    Ok
+      ( {
+          backend;
+          result;
+          stats;
+          trace = Some trace;
+          curve = None;
+          peephole = !peephole;
+          certificate;
+        },
+        !cache_status )
+  in
   match spec.scheduler with
   | Spec.Baseline ->
     let* opts =
@@ -133,24 +154,14 @@ let exec cache (spec : Spec.t) =
           { kind = "invalid-spec"; message = "backend_options: " ^ message })
         (CB.Options.decode Gp_baseline.options_spec spec.backend_options)
     in
-    let result =
-      Gp_baseline.run
+    let result, trace =
+      Gp_baseline.run_traced
         ~options:
           (Gp_baseline.of_backend_options opts
              { Gp_baseline.default_options with seed = spec.seed })
         timing circuit
     in
-    Ok
-      ( {
-          backend = "gp-baseline";
-          result;
-          stats = [];
-          trace = None;
-          curve = None;
-          peephole = !peephole;
-          certificate = None;
-        },
-        !cache_status )
+    traced ~backend:"gp-baseline" ~result ~stats:[] trace
   | Spec.Full | Spec.Sp -> (
     (* The placement the scheduler would compute internally, replayed
        through the cache when one is installed. The lowering mirrors the
@@ -223,27 +234,8 @@ let exec cache (spec : Spec.t) =
                (legacy_options spec @ spec.backend_options))
         in
         let outcome = (entry.CB.ctor config opts).CB.run timing circuit in
-        (* Self-certification happens here, on the caller's own domain,
-           so batch workers and serve workers certify in parallel with no
-           extra plumbing. *)
-        let certificate =
-          if spec.outputs.Spec.certificate then
-            Some
-              (Qec_verify.Certifier.certify ~backend:outcome.CB.backend
-                 ~result:outcome.CB.result timing outcome.CB.trace)
-          else None
-        in
-        Ok
-          ( {
-              backend = outcome.CB.backend;
-              result = outcome.CB.result;
-              stats = outcome.CB.stats;
-              trace = Some outcome.CB.trace;
-              curve = None;
-              peephole = !peephole;
-              certificate;
-            },
-            !cache_status ))
+        traced ~backend:outcome.CB.backend ~result:outcome.CB.result
+          ~stats:outcome.CB.stats outcome.CB.trace)
 
 let exec_safe cache spec =
   match exec cache spec with

@@ -58,7 +58,7 @@ val validate : t -> (unit, string) result
     [backend] ({!Autobraid.Comm_backend.of_name} — the error lists the
     registered names), [d >= 1], [threshold_p] in [0, 1),
     [scheduler]/[backend]/[best_p] compatibility, [outputs.certificate]
-    only on traced runs (neither [Baseline] nor [best_p]), and a strict
+    only on traced runs (not [best_p]), and a strict
     [backend_options] decode against the owning backend's declared spec
     ({!Gp_baseline.options_spec} for the baseline scheduler) followed by
     its semantic validator. *)

@@ -223,6 +223,12 @@ let sched_incremental_frontier =
 
 (* ---------------- differential oracle ---------------- *)
 
+(* The greedy baseline as a backend outcome, so the oracles below check
+   its trace exactly as they check the registered backends'. *)
+let baseline_outcome c =
+  let result, trace = Gp_baseline.run_traced timing c in
+  { CB.backend = "gp-baseline"; result; trace; stats = [] }
+
 let diff_backends =
   {
     name = "diff/backends";
@@ -236,24 +242,25 @@ let diff_backends =
              let braid = (CB.braid ()).CB.run timing c in
              let surgery = (Qec_surgery.Backend.make ()).CB.run timing c in
              let lookahead = (Qec_lookahead.Backend.make ()).CB.run timing c in
-             let baseline = Gp_baseline.run timing c in
+             let baseline = baseline_outcome c in
              let check_clean (o : CB.outcome) =
                match first_violation o.CB.trace with
                | Some msg -> Some (Printf.sprintf "%s: %s" o.CB.backend msg)
                | None -> None
              in
              match
-               List.find_map check_clean [ braid; surgery; lookahead ]
+               List.find_map check_clean [ braid; surgery; lookahead; baseline ]
              with
              | Some msg -> Fail msg
              | None ->
                let ids_b = CB.scheduled_gate_ids braid.CB.trace in
                let ids_s = CB.scheduled_gate_ids surgery.CB.trace in
                let ids_l = CB.scheduled_gate_ids lookahead.CB.trace in
+               let ids_g = CB.scheduled_gate_ids baseline.CB.trace in
                let rb = braid.CB.result
                and rs = surgery.CB.result
                and rl = lookahead.CB.result
-               and rg = baseline in
+               and rg = baseline.CB.result in
                if ids_b <> ids_s then
                  failf
                    "braid and surgery scheduled different gate sets (%d vs \
@@ -264,6 +271,11 @@ let diff_backends =
                    "braid and lookahead scheduled different gate sets (%d \
                     vs %d gates)"
                    (List.length ids_b) (List.length ids_l)
+               else if ids_b <> ids_g then
+                 failf
+                   "braid and baseline scheduled different gate sets (%d vs \
+                    %d gates)"
+                   (List.length ids_b) (List.length ids_g)
                else if List.length ids_b <> rb.S.num_gates then
                  failf "braid scheduled %d of %d lowered gates"
                    (List.length ids_b) rb.S.num_gates
@@ -347,9 +359,10 @@ let verify_certify =
   {
     name = "verify/certify";
     description =
-      "every backend's schedule certifies clean under the independent \
-       Qec_verify certifier, and each applicable adversarial trace \
-       mutation is rejected with the mutated invariant named";
+      "every backend's schedule, the greedy baseline's included, \
+       certifies clean under the independent Qec_verify certifier, and \
+       each applicable adversarial trace mutation is rejected with the \
+       mutated invariant named";
     check =
       Circuit
         (guard (fun c ->
@@ -359,6 +372,7 @@ let verify_certify =
                [
                  (CB.braid ()).CB.run timing c;
                  (Qec_surgery.Backend.make ()).CB.run timing c;
+                 baseline_outcome c;
                ]
              in
              let rec check_outcomes = function

@@ -719,6 +719,28 @@ let test_run_spec_matches_direct_scheduler () =
     check_int "same rounds" direct.Autobraid.Scheduler.rounds
       p.Engine.result.Autobraid.Scheduler.rounds
 
+(* The greedy baseline records a trace like every registered backend, so
+   a certificate request validates and certifies clean; the best_p sweep
+   records none and is still rejected. *)
+let test_run_spec_certifies_baseline () =
+  let certified s = { s with Spec.outputs = { s.Spec.outputs with certificate = true } } in
+  let baseline = certified (spec ~scheduler:Spec.Baseline "bv12") in
+  check_bool "baseline + certificate validates" true
+    (Result.is_ok (Spec.validate baseline));
+  (match Engine.run_spec baseline with
+  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
+  | Ok p -> (
+    check_string "backend" "gp-baseline" p.Engine.backend;
+    check_bool "trace present" true (p.Engine.trace <> None);
+    match p.Engine.certificate with
+    | None -> Alcotest.fail "no certificate"
+    | Some cert ->
+      check_bool
+        ("certifies clean: " ^ Qec_verify.Certifier.to_summary cert)
+        true (Qec_verify.Certifier.ok cert)));
+  check_bool "best_p + certificate rejected" true
+    (Result.is_error (Spec.validate { (certified (spec "qft9")) with Spec.best_p = true }))
+
 let test_run_spec_errors () =
   let kind s =
     match Engine.run_spec s with
@@ -877,5 +899,6 @@ let () =
           Alcotest.test_case "cache determinism" `Quick
             test_run_batch_cache_determinism;
           Alcotest.test_case "record shape" `Quick test_job_json_shape;
+          Alcotest.test_case "baseline certifies" `Quick test_run_spec_certifies_baseline;
         ] );
     ]

@@ -132,6 +132,30 @@ let test_route_in_order_respects_order () =
   (* first routed is the first in the given order (task 1) *)
   check_int "order respected" 1 (fst (List.hd routed)).Task.id
 
+(* Theorem 1, fixed example: three gates forming one LLG on an 8x8 grid
+   (the first and third boxes each meet the second). The planned order
+   0-1-2 and the failed-first retry 2-0-1 both strand gate 2: gate 1's
+   equal-length detour over the top seals gate 2's tile in. Orders 1-0-2,
+   1-2-0 and 2-1-0 route all three, so the finder must too, under every
+   retry/confine combination. *)
+let test_theorem1_sealed_tile () =
+  let coords = [ (3, 3); (3, 0); (6, 2); (2, 1); (2, 0); (1, 7) ] in
+  let p = placement_at 8 coords in
+  check_int "one LLG of three" 1
+    (List.length (Autobraid.Llg.decompose p (tasks 3)));
+  List.iter
+    (fun (retry, confine_llg) ->
+      let grid = Placement.grid p in
+      let outcome =
+        SF.find ~retry ~confine_llg (Router.create grid) (Occupancy.create grid)
+          p (tasks 3)
+      in
+      let what = Printf.sprintf "retry=%b confine=%b" retry confine_llg in
+      check_int (what ^ ": all three routed") 3 (List.length outcome.SF.routed);
+      check_bool (what ^ ": disjoint") true (all_disjoint outcome.SF.routed);
+      check_bool (what ^ ": endpoints") true (paths_connect p outcome.SF.routed))
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
 (* Theorem 1 (qcheck): any LLG of <= 3 gates schedules fully on an
    otherwise empty lattice, for arbitrary placements. *)
 let theorem1_gen =
@@ -140,9 +164,18 @@ let theorem1_gen =
     let* coords = list_repeat (2 * k) (pair (int_range 0 7) (int_range 0 7)) in
     return (k, coords))
 
+let print_instance (k, coords) =
+  Printf.sprintf "k = %d on 8x8, gates %s" k
+    (String.concat " "
+       (List.init k (fun i ->
+            let (x1, y1), (x2, y2) =
+              (List.nth coords (2 * i), List.nth coords ((2 * i) + 1))
+            in
+            Printf.sprintf "(%d,%d)-(%d,%d)" x1 y1 x2 y2)))
+
 let prop_theorem1 =
   QCheck.Test.make ~name:"theorem 1: <=3 concurrent gates always schedule"
-    ~count:500 (QCheck.make theorem1_gen) (fun (k, coords) ->
+    ~count:500 (QCheck.make ~print:print_instance theorem1_gen) (fun (k, coords) ->
       let distinct = List.sort_uniq compare coords in
       QCheck.assume (List.length distinct = 2 * k);
       let p = placement_at 8 coords in
@@ -252,6 +285,7 @@ let () =
           Alcotest.test_case "occupancy accounting" `Quick test_reservations_match_occupancy;
           Alcotest.test_case "ratio" `Quick test_ratio;
           Alcotest.test_case "route_in_order" `Quick test_route_in_order_respects_order;
+          Alcotest.test_case "theorem 1 sealed tile" `Quick test_theorem1_sealed_tile;
         ] );
       ( "properties",
         [
