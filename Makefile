@@ -141,7 +141,7 @@ verify-smoke: build
 		$(CLI) verify "$$c" || exit 1; \
 		$(CLI) verify "$$c" --backend surgery || exit 1; \
 	done
-	@echo "verify fixtures/batch_manifest.json (every job, baseline included)"; \
+	@echo "verify fixtures/batch_manifest.json (every job, greedy included)"; \
 	log=$$(mktemp); \
 	$(CLI) verify fixtures/batch_manifest.json 2> "$$log" || { cat "$$log"; exit 1; }; \
 	if grep -q skipping "$$log"; then \
@@ -151,6 +151,9 @@ verify-smoke: build
 	@echo "compile qft9 -s baseline --certify"; \
 	$(CLI) compile qft9 -s baseline --certify >/dev/null \
 		|| { echo "verify-smoke: baseline schedule failed certification"; exit 1; }
+	@echo "schedule qft9 --backend greedy --certify"; \
+	$(CLI) schedule qft9 --backend greedy --certify >/dev/null \
+		|| { echo "verify-smoke: greedy schedule failed certification"; exit 1; }
 	@$(CLI) verify no-such-circuit >/dev/null 2>&1; \
 	[ $$? -eq 2 ] || { echo "verify-smoke: bad input should exit 2"; exit 1; }
 	@$(CLI) verify qft9 --json | grep -q '"schema": "autobraid-cert/v1"' \

@@ -84,7 +84,9 @@ let scheduler_arg =
     value
     & opt scheduler_kind `Full
     & info [ "s"; "scheduler" ] ~docv:"KIND"
-        ~doc:"Scheduler: full (autobraid), sp (no layout opt), baseline (GP)")
+        ~doc:
+          "Scheduler: full (autobraid), sp (no layout opt), baseline (the \
+           greedy backend on bisect placement)")
 
 let initial_kind =
   Arg.enum
@@ -149,16 +151,12 @@ let trace_out_arg =
 (* ---------------- per-backend options (--backend-opt) ---------------- *)
 
 (* The declared specs a spec's backend_options decode against: the
-   registry entry's, or the baseline codec when the spec runs the
-   baseline scheduler (it is not in the registry). An unknown backend
-   yields the empty schema; the engine reports the name error itself. *)
+   registry entry's. An unknown backend yields the empty schema; the
+   engine reports the name error itself. *)
 let option_specs_for (s : Qec_engine.Spec.t) =
-  if s.Qec_engine.Spec.scheduler = Qec_engine.Spec.Baseline then
-    Gp_baseline.options_spec
-  else
-    match Autobraid.Comm_backend.of_name s.Qec_engine.Spec.backend with
-    | Some e -> e.Autobraid.Comm_backend.options
-    | None -> []
+  match Autobraid.Comm_backend.of_name s.Qec_engine.Spec.backend with
+  | Some e -> e.Autobraid.Comm_backend.options
+  | None -> []
 
 let parse_backend_opts specs raw =
   List.map
@@ -370,19 +368,21 @@ let compile_cmd =
     let code =
       with_telemetry ~metrics ~telemetry_out ~trace_out @@ fun () ->
       let timing = Qec_surface.Timing.make ~d () in
+      (* -s baseline builds the spec a manifest's legacy "scheduler":
+         "baseline" decodes to: greedy on the bisected placement. *)
+      let baseline = sched = `Baseline in
       let s =
         {
           Qec_engine.Spec.default with
           circuit = spec;
+          backend = (if baseline then "greedy" else "braid");
           scheduler =
-            (match sched with
-            | `Full -> Qec_engine.Spec.Full
-            | `Sp -> Qec_engine.Spec.Sp
-            | `Baseline -> Qec_engine.Spec.Baseline);
+            (if sched = `Sp then Qec_engine.Spec.Sp else Qec_engine.Spec.Full);
           d;
           seed;
           threshold_p = p;
-          initial;
+          initial =
+            (if baseline then Autobraid.Initial_layout.Bisected else initial);
           optimize;
           best_p = best_p && sched = `Full;
           outputs = { Qec_engine.Spec.default.outputs with certificate = certify };
@@ -1228,6 +1228,8 @@ let verify_cmd =
     let with_certificate (s : Qec_engine.Spec.t) =
       { s with outputs = { s.outputs with certificate = true } }
     in
+    (* Lines about a job name it: the manifest id, else the circuit. *)
+    let label (s : Qec_engine.Spec.t) = Option.value s.id ~default:s.circuit in
     let specs =
       if Sys.file_exists target && Filename.check_suffix target ".json" then begin
         let text =
@@ -1256,7 +1258,7 @@ let verify_cmd =
           List.iter
             (fun (s : Qec_engine.Spec.t) ->
               Printf.eprintf "skipping %s: best_p runs record no trace to certify\n"
-                s.circuit)
+                (label s))
             untraced;
           if certifiable = [] then begin
             Printf.eprintf "%s: no certifiable job in manifest\n" target;
@@ -1300,9 +1302,10 @@ let verify_cmd =
            (Qec_report.Json.List
               (List.map Qec_report.Export.certificate_to_json certs)))
     else
-      List.iter
-        (fun cert ->
-          print_endline (Qec_verify.Certifier.to_summary cert);
+      List.iter2
+        (fun s cert ->
+          Printf.printf "[%s] %s\n" (label s)
+            (Qec_verify.Certifier.to_summary cert);
           List.iter
             (fun inv ->
               List.iter
@@ -1311,7 +1314,7 @@ let verify_cmd =
                     ("  " ^ Qec_verify.Certifier.witness_to_string w))
                 (Qec_verify.Certifier.witnesses_for cert inv))
             (Qec_verify.Certifier.failed cert))
-        certs;
+        specs certs;
     exit (if List.for_all Qec_verify.Certifier.ok certs then 0 else 1)
   in
   let target_arg =

@@ -2,6 +2,7 @@ module Router = Qec_lattice.Router
 module Task = Autobraid.Task
 module Scheduler = Autobraid.Scheduler
 module Stack_finder = Autobraid.Stack_finder
+module CB = Autobraid.Comm_backend
 
 type route_kind = Dimension_ordered | Astar
 
@@ -9,6 +10,7 @@ type options = {
   initial : Autobraid.Initial_layout.method_;
   router : route_kind;
   seed : int;
+  placement_override : Qec_lattice.Placement.t option;
 }
 
 let default_options =
@@ -18,31 +20,7 @@ let default_options =
     initial = Autobraid.Initial_layout.Bisected;
     router = Dimension_ordered;
     seed = 11;
-  }
-
-(* The baseline is not in the Comm_backend registry (manifests select it
-   as a scheduler kind), but it speaks the same per-backend options codec
-   so the engine decodes every backend's knobs uniformly. *)
-let options_spec =
-  let open Autobraid.Comm_backend.Options in
-  [
-    {
-      key = "router";
-      kind = TEnum [ "dimension"; "astar" ];
-      default = String "dimension";
-      doc =
-        "dimension = braidflash-style single-bend routes (the faithful \
-         baseline), astar = detouring A* ablation";
-    };
-  ]
-
-let of_backend_options opts base =
-  {
-    base with
-    router =
-      (match Autobraid.Comm_backend.Options.get_string opts "router" with
-      | "astar" -> Astar
-      | _ -> Dimension_ordered);
+    placement_override = None;
   }
 
 (* One greedy round: shortest operand distance first, id breaks ties; each
@@ -82,7 +60,50 @@ let run_traced ?(options = default_options) timing circuit =
         variant = Sp;
         initial = options.initial;
         seed = options.seed;
+        placement_override = options.placement_override;
       }
     timing circuit
 
 let run ?options timing circuit = fst (run_traced ?options timing circuit)
+
+let description =
+  "greedy MICRO'17 baseline (GP w. initM): shortest-distance-first, no \
+   retry, no SWAPs"
+
+let register () =
+  CB.register ~name:"greedy" ~description
+    ~options:
+      [
+        {
+          CB.Options.key = "router";
+          kind = TEnum [ "dimension"; "astar" ];
+          default = String "dimension";
+          doc =
+            "dimension = braidflash-style single-bend routes (the faithful \
+             baseline), astar = detouring A* ablation";
+        };
+      ]
+    (fun cfg opts ->
+      let options =
+        {
+          initial = cfg.CB.initial;
+          router =
+            (match CB.Options.get_string opts "router" with
+            | "astar" -> Astar
+            | _ -> Dimension_ordered);
+          seed = cfg.CB.seed;
+          placement_override = cfg.CB.placement;
+        }
+      in
+      {
+        CB.name = "greedy";
+        description;
+        run =
+          (fun timing circuit ->
+            let result, trace = run_traced ~options timing circuit in
+            { CB.backend = "greedy"; result; trace; stats = [] });
+      })
+
+(* Self-register when linked and referenced; name-only resolvers call
+   [register] explicitly — see Qec_engine.Engine. *)
+let () = register ()

@@ -25,21 +25,12 @@ type options = {
           ablation *)
   router : route_kind;  (** default [Dimension_ordered] *)
   seed : int;
+  placement_override : Qec_lattice.Placement.t option;
+      (** start from this placement instead of running [initial] (the
+          engine's placement cache injects through it); default [None] *)
 }
 
 val default_options : options
-
-val options_spec : Autobraid.Comm_backend.Options.spec list
-(** The baseline's knobs in the shared per-backend options codec:
-    [router] (["dimension"|"astar"]). The baseline stays out of the
-    {!Autobraid.Comm_backend} registry (manifests select it as a
-    scheduler kind), but the engine decodes its [backend_options] against
-    this spec like any registered backend's. *)
-
-val of_backend_options :
-  Autobraid.Comm_backend.Options.t -> options -> options
-(** Overlay a decoded (complete, type-checked) options record onto
-    [base]. *)
 
 val run :
   ?options:options ->
@@ -57,3 +48,11 @@ val run_traced :
 (** {!run}, with the per-round schedule it made ({!Autobraid.Trace}) —
     the input the independent certifier ([Qec_verify.Certifier])
     replays. *)
+
+val register : unit -> unit
+(** Enter the baseline into {!Autobraid.Comm_backend}'s registry as
+    ["greedy"], declaring one option, [router] (["dimension"|"astar"]).
+    The ctor maps the config's [initial], [seed] and [placement] onto
+    {!options}; outcomes carry [backend = "greedy"]. Idempotent. Runs
+    automatically when this module is linked and referenced; call it
+    explicitly from code that only resolves backends by name. *)

@@ -9,7 +9,8 @@ module Tel = Qec_telemetry.Telemetry
 
 let ensure_backends () =
   Qec_surgery.Backend.register ();
-  Qec_lookahead.Backend.register ()
+  Qec_lookahead.Backend.register ();
+  Gp_baseline.register ()
 
 let run_spec ?cache spec =
   ensure_backends ();

@@ -38,8 +38,7 @@ type error = Engine_core.error = {
 
 type payload = Engine_core.payload = {
   backend : string;
-      (** what actually ran: the registry backend's name, or
-          ["gp-baseline"] for [Spec.scheduler = Baseline] *)
+      (** what actually ran: the registry backend's name *)
   result : Autobraid.Scheduler.result;
   stats : (string * float) list;  (** backend extras, e.g. surgery volume *)
   trace : Autobraid.Trace.t option;
@@ -74,8 +73,8 @@ type job = Engine_core.job = {
 
 val ensure_backends : unit -> unit
 (** Register the built-in backends (braid registers with
-    {!Autobraid.Comm_backend} on linking; surgery via
-    {!Qec_surgery.Backend.register}). Idempotent; call before resolving
+    {!Autobraid.Comm_backend} on linking; surgery, lookahead and greedy
+    via their [register] functions). Idempotent; call before resolving
     backend names. *)
 
 val load_circuit : Spec.t -> (Qec_circuit.Circuit.t, error) result

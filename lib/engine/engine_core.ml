@@ -125,117 +125,91 @@ let exec cache (spec : Spec.t) =
     else circuit
   in
   let timing = Timing.make ~d:spec.d () in
-  (* Every traced run ends here. Self-certification happens on the
-     caller's own domain, so batch and serve workers certify in parallel
-     with no extra plumbing. *)
-  let traced ~backend ~result ~stats trace =
-    let certificate =
-      if spec.outputs.Spec.certificate then
-        Some (Qec_verify.Certifier.certify ~backend ~result timing trace)
-      else None
+  (* The placement the scheduler would compute internally, replayed
+     through the cache when one is installed. The lowering mirrors the
+     schedulers' own entry so key and placement agree with them. *)
+  let placement =
+    match cache with
+    | None -> None
+    | Some cache ->
+      let lowered = Decompose.to_scheduler_gates circuit in
+      let n = Circuit.num_qubits lowered in
+      let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:n) in
+      let before = Placement_cache.counters cache in
+      let p =
+        Placement_cache.find_or_place cache ~circuit:lowered ~side
+          ~method_:spec.initial ~seed:spec.seed
+      in
+      let after = Placement_cache.counters cache in
+      cache_status :=
+        if after.misses > before.misses then Miss
+        else if after.disk_hits > before.disk_hits then Disk_hit
+        else Memory_hit;
+      Some p
+  in
+  let config = { CB.initial = spec.initial; seed = spec.seed; placement } in
+  if spec.best_p then begin
+    let options =
+      {
+        Scheduler.default_options with
+        threshold_p = spec.threshold_p;
+        initial = spec.initial;
+        seed = spec.seed;
+        placement_override = placement;
+      }
     in
+    let best, curve = Scheduler.run_best_p ~options timing circuit in
     Ok
       ( {
-          backend;
-          result;
-          stats;
-          trace = Some trace;
-          curve = None;
+          backend = spec.backend;
+          result = best;
+          stats = [];
+          trace = None;
+          curve = Some curve;
           peephole = !peephole;
-          certificate;
+          certificate = None;
         },
         !cache_status )
-  in
-  match spec.scheduler with
-  | Spec.Baseline ->
-    let* opts =
-      Result.map_error
-        (fun message ->
-          { kind = "invalid-spec"; message = "backend_options: " ^ message })
-        (CB.Options.decode Gp_baseline.options_spec spec.backend_options)
-    in
-    let result, trace =
-      Gp_baseline.run_traced
-        ~options:
-          (Gp_baseline.of_backend_options opts
-             { Gp_baseline.default_options with seed = spec.seed })
-        timing circuit
-    in
-    traced ~backend:"gp-baseline" ~result ~stats:[] trace
-  | Spec.Full | Spec.Sp -> (
-    (* The placement the scheduler would compute internally, replayed
-       through the cache when one is installed. The lowering mirrors the
-       schedulers' own entry so key and placement agree with them. *)
-    let placement =
-      match cache with
-      | None -> None
-      | Some cache ->
-        let lowered = Decompose.to_scheduler_gates circuit in
-        let n = Circuit.num_qubits lowered in
-        let side =
-          max 1 (Qec_surface.Resources.lattice_side ~num_logical:n)
-        in
-        let before = Placement_cache.counters cache in
-        let p =
-          Placement_cache.find_or_place cache ~circuit:lowered ~side
-            ~method_:spec.initial ~seed:spec.seed
-        in
-        let after = Placement_cache.counters cache in
-        cache_status :=
-          if after.misses > before.misses then Miss
-          else if after.disk_hits > before.disk_hits then Disk_hit
-          else Memory_hit;
-        Some p
-    in
-    let config = { CB.initial = spec.initial; seed = spec.seed; placement } in
-    if spec.best_p then begin
-      let options =
+  end
+  else
+    match CB.of_name spec.backend with
+    | None ->
+      Error
         {
-          Scheduler.default_options with
-          threshold_p = spec.threshold_p;
-          initial = spec.initial;
-          seed = spec.seed;
-          placement_override = placement;
+          kind = "unknown-backend";
+          message =
+            Printf.sprintf "unknown backend %S (registered: %s)" spec.backend
+              (String.concat ", " (CB.names ()));
         }
+    | Some entry ->
+      let* opts =
+        Result.map_error
+          (fun message ->
+            { kind = "invalid-spec"; message = "backend_options: " ^ message })
+          (CB.Options.decode entry.CB.options
+             (legacy_options spec @ spec.backend_options))
       in
-      let best, curve = Scheduler.run_best_p ~options timing circuit in
+      let { CB.backend; result; trace; stats } =
+        (entry.CB.ctor config opts).CB.run timing circuit
+      in
+      (* Self-certification happens on the caller's own domain, so batch
+         and serve workers certify in parallel with no extra plumbing. *)
+      let certificate =
+        if spec.outputs.Spec.certificate then
+          Some (Qec_verify.Certifier.certify ~backend ~result timing trace)
+        else None
+      in
       Ok
         ( {
-            backend = spec.backend;
-            result = best;
-            stats = [];
-            trace = None;
-            curve = Some curve;
+            backend;
+            result;
+            stats;
+            trace = Some trace;
+            curve = None;
             peephole = !peephole;
-            certificate = None;
+            certificate;
           },
           !cache_status )
-    end
-    else
-      match CB.of_name spec.backend with
-      | None ->
-        Error
-          {
-            kind = "unknown-backend";
-            message =
-              Printf.sprintf "unknown backend %S (registered: %s)"
-                spec.backend
-                (String.concat ", " (CB.names ()));
-          }
-      | Some entry ->
-        let* opts =
-          Result.map_error
-            (fun message ->
-              {
-                kind = "invalid-spec";
-                message = "backend_options: " ^ message;
-              })
-            (CB.Options.decode entry.CB.options
-               (legacy_options spec @ spec.backend_options))
-        in
-        let outcome = (entry.CB.ctor config opts).CB.run timing circuit in
-        traced ~backend:outcome.CB.backend ~result:outcome.CB.result
-          ~stats:outcome.CB.stats outcome.CB.trace)
 
 let exec_safe cache spec =
   match exec cache spec with

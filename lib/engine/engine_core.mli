@@ -28,8 +28,7 @@ type error = {
 
 type payload = {
   backend : string;
-      (** what actually ran: the registry backend's name, or
-          ["gp-baseline"] for [Spec.scheduler = Baseline] *)
+      (** what actually ran: the registry backend's name *)
   result : Autobraid.Scheduler.result;
   stats : (string * float) list;  (** backend extras, e.g. surgery volume *)
   trace : Autobraid.Trace.t option;

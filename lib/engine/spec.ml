@@ -2,7 +2,7 @@ module Json = Qec_report.Json
 module IL = Autobraid.Initial_layout
 module CB = Autobraid.Comm_backend
 
-type scheduler_kind = Full | Sp | Baseline
+type scheduler_kind = Full | Sp
 
 type outputs = { trace : bool; reliability : bool; certificate : bool }
 
@@ -57,15 +57,11 @@ let initial_of_string = function
 let scheduler_to_string = function
   | Full -> "full"
   | Sp -> "sp"
-  | Baseline -> "baseline"
 
 let scheduler_of_string = function
   | "full" -> Ok Full
   | "sp" -> Ok Sp
-  | "baseline" -> Ok Baseline
-  | s ->
-    Error
-      (Printf.sprintf "unknown scheduler %S (expected full|sp|baseline)" s)
+  | s -> Error (Printf.sprintf "unknown scheduler %S (expected full|sp)" s)
 
 let validate t =
   let ( let* ) = Result.bind in
@@ -77,18 +73,16 @@ let validate t =
       (t.threshold_p >= 0. && t.threshold_p < 1.)
       (Printf.sprintf "threshold_p %g out of [0, 1)" t.threshold_p)
   in
-  let* () =
-    check
-      (t.scheduler = Baseline || CB.of_name t.backend <> None)
-      (Printf.sprintf "unknown backend %S (registered: %s)" t.backend
-         (String.concat ", " (CB.names ())))
+  let* entry =
+    Option.to_result (CB.of_name t.backend)
+      ~none:
+        (Printf.sprintf "unknown backend %S (registered: %s)" t.backend
+           (String.concat ", " (CB.names ())))
   in
   let* () =
     check
-      ((not (t.scheduler = Sp || t.scheduler = Baseline))
-      || t.backend = "braid")
-      (Printf.sprintf "scheduler %S only applies to the braid backend"
-         (scheduler_to_string t.scheduler))
+      (t.scheduler <> Sp || t.backend = "braid")
+      "scheduler \"sp\" only applies to the braid backend"
   in
   let* () =
     check
@@ -105,24 +99,11 @@ let validate t =
        declared spec, then run its semantic validator. (The legacy
        scheduler/threshold_p fields are merged underneath at execution
        time; their ranges are checked above.) *)
-    let codec =
-      if t.scheduler = Baseline then
-        Some (Gp_baseline.options_spec, fun _ -> Ok ())
-      else
-        Option.map
-          (fun (e : CB.entry) -> (e.CB.options, e.CB.validate))
-          (CB.of_name t.backend)
-    in
-    match codec with
-    | None -> Ok () (* unreachable: the backend check above failed first *)
-    | Some (specs, validate_opts) ->
-      let* decoded =
-        Result.map_error
-          (fun e -> "backend_options: " ^ e)
-          (CB.Options.decode specs t.backend_options)
-      in
-      Result.map_error (fun e -> "backend_options: " ^ e)
-        (validate_opts decoded)
+    Result.map_error
+      (fun e -> "backend_options: " ^ e)
+      (Result.bind
+         (CB.Options.decode entry.CB.options t.backend_options)
+         entry.CB.validate)
   in
   (* Certification replays a trace; the best_p sweep produces none. *)
   check
@@ -222,9 +203,19 @@ let of_json json =
       | None -> Error "spec is missing the required \"circuit\" field"
     in
     let* backend = str "backend" default.backend in
-    let* scheduler =
-      let* s = str "scheduler" (scheduler_to_string default.scheduler) in
-      scheduler_of_string s
+    let* scheduler = str "scheduler" (scheduler_to_string default.scheduler) in
+    (* The one place the legacy baseline spelling survives: the greedy
+       backend on the bisected placement it has always run on, whatever
+       [initial] says. *)
+    let legacy_baseline = scheduler = "baseline" in
+    let* backend, scheduler =
+      if not legacy_baseline then
+        Result.map (fun k -> (backend, k)) (scheduler_of_string scheduler)
+      else if backend = "braid" || backend = "greedy" then Ok ("greedy", Full)
+      else
+        Error
+          (Printf.sprintf "scheduler \"baseline\" does not apply to backend %S"
+             backend)
     in
     let* d = int "d" default.d in
     let* seed = int "seed" default.seed in
@@ -239,6 +230,7 @@ let of_json json =
       let* s = str "initial" (initial_to_string default.initial) in
       initial_of_string s
     in
+    let initial = if legacy_baseline then IL.Bisected else initial in
     let* backend_options =
       match field "backend_options" with
       | None -> Ok []

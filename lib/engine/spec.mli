@@ -12,7 +12,6 @@
 type scheduler_kind =
   | Full  (** path finder + dynamic layout optimization (braid only) *)
   | Sp  (** stack-based path finder only (braid only) *)
-  | Baseline  (** the greedy MICRO'17 baseline ({!Gp_baseline}) *)
 
 type outputs = {
   trace : bool;  (** include the per-round trace in the job payload *)
@@ -59,9 +58,8 @@ val validate : t -> (unit, string) result
     registered names), [d >= 1], [threshold_p] in [0, 1),
     [scheduler]/[backend]/[best_p] compatibility, [outputs.certificate]
     only on traced runs (not [best_p]), and a strict
-    [backend_options] decode against the owning backend's declared spec
-    ({!Gp_baseline.options_spec} for the baseline scheduler) followed by
-    its semantic validator. *)
+    [backend_options] decode against the backend's declared spec
+    followed by its semantic validator. *)
 
 val initial_to_string : Autobraid.Initial_layout.method_ -> string
 (** ["identity" | "bisect" | "metis" | "anneal"] — the CLI's names. *)
@@ -70,7 +68,7 @@ val initial_of_string :
   string -> (Autobraid.Initial_layout.method_, string) result
 
 val scheduler_to_string : scheduler_kind -> string
-(** ["full" | "sp" | "baseline"]. *)
+(** ["full" | "sp"]. *)
 
 val scheduler_of_string : string -> (scheduler_kind, string) result
 
@@ -81,7 +79,13 @@ val to_json : t -> Qec_report.Json.t
 val of_json : Qec_report.Json.t -> (t, string) result
 (** Missing fields take {!default}'s values; [circuit] is required.
     Unknown keys and malformed values are errors (catching manifest
-    typos beats silently ignoring them). *)
+    typos beats silently ignoring them).
+
+    The legacy spelling ["scheduler": "baseline"] decodes as
+    [backend = "greedy"], [initial = Bisected], [scheduler = Full]: the
+    greedy baseline on the placement it has always run on, whatever
+    [initial] says. It is an error next to any [backend] other than
+    ["braid"] or ["greedy"]. *)
 
 val manifest_of_json : Qec_report.Json.t -> (t list, string) result
 (** A manifest is either a bare JSON array of specs or

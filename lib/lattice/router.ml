@@ -8,8 +8,7 @@ type t = {
   came_from : int array;
   closed : bool array;
   mutable generation : int;
-  open_list : int Qec_util.Heap.t; (* reference implementation's open list *)
-  pq : Qec_util.Heap.Int_pq.t; (* arena implementation's open list *)
+  pq : Qec_util.Heap.Int_pq.t; (* open list *)
   goal_ids : int array; (* up to 4 usable target corners *)
   goal_x : int array;
   goal_y : int array;
@@ -26,7 +25,6 @@ let create grid =
     came_from = Array.make n (-1);
     closed = Array.make n false;
     generation = 0;
-    open_list = Qec_util.Heap.create ();
     pq = Qec_util.Heap.Int_pq.create ~capacity:64 ();
     goal_ids = Array.make 4 (-1);
     goal_x = Array.make 4 0;
@@ -44,101 +42,14 @@ let fresh t v =
     t.closed.(v) <- false
   end
 
-let in_bounds grid bounds v =
-  match bounds with
-  | None -> true
-  | Some (b : Bbox.t) ->
-    let x, y = Grid.vertex_xy grid v in
-    b.x0 <= x && x <= b.x1 + 1 && b.y0 <= y && y <= b.y1 + 1
-
-(* Pre-rewrite closure-and-list A* kept verbatim as the differential
-   oracle for the arena implementation below (see test_router.ml); it
-   shares the generation-stamped scratch arrays, so interleaving the two
-   is safe. Scheduled for deletion once the arena path has survived a
-   release. *)
-let route_reference ?bounds t occ ~src_cell ~dst_cell =
-  if src_cell = dst_cell then invalid_arg "Router.route: same cell";
-  if Occupancy.grid occ != t.grid then
-    invalid_arg "Router.route: occupancy grid mismatch";
-  t.generation <- t.generation + 1;
-  Qec_util.Heap.clear t.open_list;
-  let expansions = ref 0 in
-  let usable v = Occupancy.is_free occ v && in_bounds t.grid bounds v in
-  let goals =
-    Array.to_list (Grid.cell_corners t.grid dst_cell) |> List.filter usable
-  in
-  let result =
-  if goals = [] then None
-  else begin
-    let is_goal = Array.make 4 (-1) in
-    List.iteri (fun i v -> is_goal.(i) <- v) goals;
-    let goal v = Array.exists (( = ) v) is_goal in
-    let heuristic v =
-      List.fold_left
-        (fun acc g -> min acc (Grid.vertex_distance t.grid v g))
-        max_int goals
-    in
-    let push v g =
-      fresh t v;
-      if g < t.gscore.(v) then begin
-        t.gscore.(v) <- g;
-        Qec_util.Heap.push t.open_list ~priority:(g + heuristic v) v
-      end
-    in
-    Array.iter
-      (fun v -> if usable v then push v 0)
-      (Grid.cell_corners t.grid src_cell);
-    let rec search () =
-      match Qec_util.Heap.pop_min t.open_list with
-      | None -> None
-      | Some v ->
-        fresh t v;
-        if t.closed.(v) then search ()
-        else if goal v then Some v
-        else begin
-          t.closed.(v) <- true;
-          incr expansions;
-          let g' = t.gscore.(v) + 1 in
-          List.iter
-            (fun nb ->
-              if usable nb then begin
-                fresh t nb;
-                if (not t.closed.(nb)) && g' < t.gscore.(nb) then begin
-                  t.gscore.(nb) <- g';
-                  t.came_from.(nb) <- v;
-                  Qec_util.Heap.push t.open_list ~priority:(g' + heuristic nb)
-                    nb
-                end
-              end)
-            (Grid.vertex_neighbors t.grid v);
-          search ()
-        end
-    in
-    match search () with
-    | None -> None
-    | Some reached ->
-      let rec walk v acc =
-        if t.came_from.(v) = -1 then v :: acc else walk t.came_from.(v) (v :: acc)
-      in
-      Some (Path.of_vertices t.grid (walk reached []))
-  end
-  in
-  if Tel.enabled () then begin
-    Tel.count "router.routes";
-    Tel.count ~by:!expansions "router.expansions";
-    match result with
-    | Some p -> Tel.sample "router.path_length" (float_of_int (Path.length p))
-    | None -> Tel.count "router.route_failures"
-  end;
-  result
-
-(* Arena A*: same search as [route_reference] — multi-source multi-target,
-   FIFO tie-breaks, identical expansion order — but the inner loop touches
-   only preallocated flat arrays: goals live in fixed 4-slot arrays,
-   neighbors are enumerated by index arithmetic (no list), the open list
-   is the packed-key Int_pq (no node allocation), and heuristic /
-   bounds checks use inline coordinate math (no tuples). The only
-   allocation on a successful route is the returned path. *)
+(* Arena A*: multi-source multi-target, FIFO tie-breaks. The inner loop
+   touches only preallocated flat arrays: goals live in fixed 4-slot
+   arrays, neighbors are enumerated by index arithmetic (no list), the
+   open list is the packed-key Int_pq (no node allocation), and heuristic
+   / bounds checks use inline coordinate math (no tuples). The only
+   allocation on a successful route is the returned path. Its expansion
+   order is pinned against the pre-rewrite list-based search kept in
+   test/reference_router.ml. *)
 let route ?bounds t occ ~src_cell ~dst_cell =
   if src_cell = dst_cell then invalid_arg "Router.route: same cell";
   if Occupancy.grid occ != t.grid then
@@ -214,8 +125,8 @@ let route ?bounds t occ ~src_cell ~dst_cell =
               incr expansions;
               let g' = t.gscore.(v) + 1 in
               let x = v mod vside and y = v / vside in
-              (* Ascending vertex-id order, exactly the reference's
-                 neighbor list: y-1, x-1, x+1, y+1. *)
+              (* Ascending vertex-id order, as Grid.vertex_neighbors
+                 lists them: y-1, x-1, x+1, y+1. *)
               let expand nb =
                 if usable nb then begin
                   fresh t nb;
@@ -278,41 +189,65 @@ let segment t (x1, y1) (x2, y2) =
       (fun i -> Grid.vertex_id t.grid ~x:(x1 + (i * step)) ~y:y1)
   end
 
-let l_candidates t a b =
-  let axy = Grid.vertex_xy t.grid a and bxy = Grid.vertex_xy t.grid b in
-  let ax, ay = axy and bx, by = bxy in
-  if a = b then [ [ a ] ]
-  else if ax = bx || ay = by then [ segment t axy bxy ]
-  else begin
-    let x_first = segment t axy (bx, ay) @ List.tl (segment t (bx, ay) bxy) in
-    let y_first = segment t axy (ax, by) @ List.tl (segment t (ax, by) bxy) in
-    [ x_first; y_first ]
-  end
-
+(* The candidates are the single-bend (L) routes from a source corner a
+   to a destination corner b: x-first, then y-first (when a and b share an
+   axis both are the same straight run, so the y-first copy never wins).
+   They are tried by length — the Manhattan distance of the corner pair —
+   and, among equal lengths, in generation order: source corner,
+   destination corner, x-first before y-first. Freeness is tested by
+   walking coordinates; only the winner is built as a path. Candidate c
+   encodes source corner c / 8, destination corner (c / 2) mod 4 and
+   orientation c mod 2 (0 = x-first). *)
 let route_dimension_ordered t occ ~src_cell ~dst_cell =
   if src_cell = dst_cell then
     invalid_arg "Router.route_dimension_ordered: same cell";
   if Occupancy.grid occ != t.grid then
     invalid_arg "Router.route_dimension_ordered: occupancy grid mismatch";
-  let corners_src = Array.to_list (Grid.cell_corners t.grid src_cell)
-  and corners_dst = Array.to_list (Grid.cell_corners t.grid dst_cell) in
-  let candidates =
-    List.concat_map
-      (fun a -> List.concat_map (fun b -> l_candidates t a b) corners_dst
-                |> List.map (fun p -> (a, p)))
-      corners_src
-    |> List.map snd
+  let vside = t.vside in
+  let src = Grid.cell_corners t.grid src_cell
+  and dst = Grid.cell_corners t.grid dst_cell in
+  let free x y = Occupancy.is_free occ ((y * vside) + x) in
+  (* Straight runs, both endpoints included. *)
+  let rec free_row y x x1 =
+    free x y && (x = x1 || free_row y (if x1 > x then x + 1 else x - 1) x1)
   in
-  let candidates =
-    List.stable_sort
-      (fun p q -> compare (List.length p) (List.length q))
-      candidates
+  let rec free_col x y y1 =
+    free x y && (y = y1 || free_col x (if y1 > y then y + 1 else y - 1) y1)
   in
-  let free p = List.for_all (Occupancy.is_free occ) p in
+  let length c =
+    let a = src.(c / 8) and b = dst.(c / 2 mod 4) in
+    abs ((a mod vside) - (b mod vside)) + abs ((a / vside) - (b / vside))
+  in
+  let free_l c =
+    let a = src.(c / 8) and b = dst.(c / 2 mod 4) in
+    let ax = a mod vside and ay = a / vside in
+    let bx = b mod vside and by = b / vside in
+    if c mod 2 = 0 then free_row ay ax bx && free_col bx ay by
+    else free_col ax ay by && free_row by ax bx
+  in
+  (* A stable sort by length that allocates nothing: one pass over the
+     candidates per length, shortest first. Lengths span at most five
+     values, as corners of one cell differ by at most 1 per axis. *)
+  let lo = ref max_int and hi = ref 0 in
+  for c = 0 to 31 do
+    lo := min !lo (length c);
+    hi := max !hi (length c)
+  done;
+  let rec scan len c =
+    if c = 32 then if len = !hi then None else scan (len + 1) 0
+    else if length c = len && free_l c then Some c
+    else scan len (c + 1)
+  in
   let result =
-    match List.find_opt free candidates with
+    match scan !lo 0 with
     | None -> None
-    | Some verts -> Some (Path.of_vertices t.grid verts)
+    | Some c ->
+      let a = Grid.vertex_xy t.grid src.(c / 8)
+      and b = Grid.vertex_xy t.grid dst.(c / 2 mod 4) in
+      let bend = if c mod 2 = 0 then (fst b, snd a) else (fst a, snd b) in
+      Some
+        (Path.of_vertices t.grid
+           (segment t a bend @ List.tl (segment t bend b)))
   in
   if Tel.enabled () then begin
     Tel.count "router.dim_ordered_routes";

@@ -29,18 +29,6 @@ val route :
     the result may be a single-vertex path. Raises [Invalid_argument] if
     [src_cell = dst_cell] or the occupancy's grid differs. *)
 
-val route_reference :
-  ?bounds:Bbox.t ->
-  t ->
-  Occupancy.t ->
-  src_cell:int ->
-  dst_cell:int ->
-  Path.t option
-(** The pre-rewrite closure-and-list A*, kept verbatim as the differential
-    oracle for {!route} (see test_router.ml): identical arguments,
-    identical results, byte-identical expansion order. Scheduled for
-    deletion once the arena implementation has survived a release. *)
-
 val route_and_reserve :
   ?bounds:Bbox.t ->
   t ->
@@ -53,11 +41,12 @@ val route_and_reserve :
 val route_dimension_ordered :
   t -> Occupancy.t -> src_cell:int -> dst_cell:int -> Path.t option
 (** Dimension-ordered (single-bend, "L-shaped") routing: for each pair of
-    free corners, try the x-then-y and y-then-x staircase with one bend;
-    the first fully-free candidate wins (candidates ordered by length,
-    then deterministically). No detours — this is how the MICRO'17
-    braidflash baseline routes, and why it stalls under congestion while
-    an A* searcher finds a way around. Raises like {!route}. *)
+    corners, try the x-then-y and y-then-x staircase with one bend; the
+    first fully-free candidate wins. Candidates are ordered by length,
+    then by source corner, destination corner, and x-first before
+    y-first. No detours — this is how the MICRO'17 braidflash baseline
+    routes, and why it stalls under congestion while an A* searcher finds
+    a way around. Raises like {!route}. *)
 
 val route_dimension_ordered_and_reserve :
   t -> Occupancy.t -> src_cell:int -> dst_cell:int -> Path.t option

@@ -223,11 +223,14 @@ let sched_incremental_frontier =
 
 (* ---------------- differential oracle ---------------- *)
 
-(* The greedy baseline as a backend outcome, so the oracles below check
-   its trace exactly as they check the registered backends'. *)
-let baseline_outcome c =
-  let result, trace = Gp_baseline.run_traced timing c in
-  { CB.backend = "gp-baseline"; result; trace; stats = [] }
+(* The greedy baseline, resolved by name like any registered backend and
+   run on the bisected placement it is defined on. *)
+let greedy_outcome c =
+  let entry = Option.get (CB.of_name "greedy") in
+  let config =
+    { CB.default_config with initial = Autobraid.Initial_layout.Bisected }
+  in
+  (entry.CB.ctor config (CB.Options.defaults entry.CB.options)).CB.run timing c
 
 let diff_backends =
   {
@@ -242,25 +245,25 @@ let diff_backends =
              let braid = (CB.braid ()).CB.run timing c in
              let surgery = (Qec_surgery.Backend.make ()).CB.run timing c in
              let lookahead = (Qec_lookahead.Backend.make ()).CB.run timing c in
-             let baseline = baseline_outcome c in
+             let greedy = greedy_outcome c in
              let check_clean (o : CB.outcome) =
                match first_violation o.CB.trace with
                | Some msg -> Some (Printf.sprintf "%s: %s" o.CB.backend msg)
                | None -> None
              in
              match
-               List.find_map check_clean [ braid; surgery; lookahead; baseline ]
+               List.find_map check_clean [ braid; surgery; lookahead; greedy ]
              with
              | Some msg -> Fail msg
              | None ->
                let ids_b = CB.scheduled_gate_ids braid.CB.trace in
                let ids_s = CB.scheduled_gate_ids surgery.CB.trace in
                let ids_l = CB.scheduled_gate_ids lookahead.CB.trace in
-               let ids_g = CB.scheduled_gate_ids baseline.CB.trace in
+               let ids_g = CB.scheduled_gate_ids greedy.CB.trace in
                let rb = braid.CB.result
                and rs = surgery.CB.result
                and rl = lookahead.CB.result
-               and rg = baseline.CB.result in
+               and rg = greedy.CB.result in
                if ids_b <> ids_s then
                  failf
                    "braid and surgery scheduled different gate sets (%d vs \
@@ -273,7 +276,7 @@ let diff_backends =
                    (List.length ids_b) (List.length ids_l)
                else if ids_b <> ids_g then
                  failf
-                   "braid and baseline scheduled different gate sets (%d vs \
+                   "braid and greedy scheduled different gate sets (%d vs \
                     %d gates)"
                    (List.length ids_b) (List.length ids_g)
                else if List.length ids_b <> rb.S.num_gates then
@@ -285,7 +288,7 @@ let diff_backends =
                  || rb.S.num_gates <> rg.S.num_gates
                then
                  failf "lowered gate counts diverge: braid %d surgery %d \
-                        lookahead %d baseline %d"
+                        lookahead %d greedy %d"
                    rb.S.num_gates rs.S.num_gates rl.S.num_gates rg.S.num_gates
                else if
                  rb.S.num_two_qubit <> rs.S.num_two_qubit
@@ -293,7 +296,7 @@ let diff_backends =
                  || rb.S.num_two_qubit <> rg.S.num_two_qubit
                then
                  failf "two-qubit counts diverge: braid %d surgery %d \
-                        lookahead %d baseline %d"
+                        lookahead %d greedy %d"
                    rb.S.num_two_qubit rs.S.num_two_qubit rl.S.num_two_qubit
                    rg.S.num_two_qubit
                else begin
@@ -311,7 +314,7 @@ let diff_backends =
                        below_cp "braid" rb;
                        below_cp "surgery" rs;
                        below_cp "lookahead" rl;
-                       below_cp "baseline" rg;
+                       below_cp "greedy" rg;
                      ]
                  with
                  | msg :: _ -> Fail msg
@@ -372,7 +375,7 @@ let verify_certify =
                [
                  (CB.braid ()).CB.run timing c;
                  (Qec_surgery.Backend.make ()).CB.run timing c;
-                 baseline_outcome c;
+                 greedy_outcome c;
                ]
              in
              let rec check_outcomes = function
@@ -533,7 +536,7 @@ let engine_batch_identity =
     name = "engine/batch-identity";
     description =
       "run_batch renders byte-identical JSONL for jobs = 1 and jobs = 3 \
-       over braid, surgery, and baseline specs of the same circuit";
+       over braid, surgery, and greedy specs of the same circuit";
     check =
       Circuit
         (guard (fun c ->
@@ -546,8 +549,9 @@ let engine_batch_identity =
                  { base with Spec.id = Some "surgery"; backend = "surgery" };
                  {
                    base with
-                   Spec.id = Some "baseline";
-                   scheduler = Spec.Baseline;
+                   Spec.id = Some "greedy";
+                   backend = "greedy";
+                   initial = Autobraid.Initial_layout.Bisected;
                    outputs =
                      {
                        Spec.trace = false;

@@ -1,36 +1,10 @@
-(** Binary min-heap over integer priorities.
+(** Binary min-heaps over integer priorities.
 
-    Used as the open list of the A* router, where priorities are f-scores.
-    Ties are broken by insertion order (FIFO), which keeps A* expansions
-    deterministic across runs. *)
+    {!Int_pq} is the A* router's open list: non-negative int values, with
+    priority and insertion stamp packed into one key word — no allocation
+    per push. Smallest priority first; ties are broken by insertion order
+    (FIFO), which keeps A* expansions deterministic across runs. *)
 
-type 'a t
-
-val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty heap. [capacity] is an initial size hint. *)
-
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val push : 'a t -> priority:int -> 'a -> unit
-(** Insert an element with the given priority. *)
-
-val pop_min : 'a t -> 'a option
-(** Remove and return an element with the smallest priority, or [None] if
-    the heap is empty. Among equal priorities, the earliest-pushed element
-    is returned first. *)
-
-val peek_min : 'a t -> 'a option
-(** Smallest-priority element without removing it. *)
-
-val clear : 'a t -> unit
-(** Remove all elements (keeps the backing storage). *)
-
-(** Min-heap specialized to non-negative int values, with priority and
-    insertion stamp packed into one key word — no allocation per push.
-    Ordering is identical to the polymorphic heap: smallest priority
-    first, FIFO among equal priorities. Used as the A* open list. *)
 module Int_pq : sig
   type t
 

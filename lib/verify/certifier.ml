@@ -317,13 +317,18 @@ let witness_to_string w =
 
 let to_summary t =
   let total = List.length Invariant.all in
+  let subject =
+    match t.backend with
+    | Some b -> Printf.sprintf "%s (%s)" t.circuit_name b
+    | None -> t.circuit_name
+  in
   match t.witnesses with
   | [] ->
     Printf.sprintf "%s: certified (%d/%d invariants, %d rounds, %d cycles)"
-      t.circuit_name total total t.num_rounds t.cycles_computed
+      subject total total t.num_rounds t.cycles_computed
   | first :: _ ->
     Printf.sprintf "%s: FAILED %d/%d invariants (%d witnesses; first: %s)"
-      t.circuit_name
+      subject
       (List.length (failed t))
       total
       (List.length t.witnesses)

@@ -54,4 +54,5 @@ val witness_to_string : witness -> string
 (** E.g. ["path/disjoint: round 3, gate 5: ..."]. *)
 
 val to_summary : t -> string
-(** One line: certified / failed counts plus the first witness. *)
+(** One line: the circuit name, followed by the backend in parentheses
+    when known, then certified / failed counts plus the first witness. *)

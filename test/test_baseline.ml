@@ -110,7 +110,7 @@ let test_trace_certifies router () =
       check_int (what ^ ": Trace.check clean") 0
         (List.length (Autobraid.Trace.check trace));
       let cert =
-        Qec_verify.Certifier.certify ~backend:"gp-baseline" ~result:traced
+        Qec_verify.Certifier.certify ~backend:"greedy" ~result:traced
           timing trace
       in
       check_bool

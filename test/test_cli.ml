@@ -20,12 +20,19 @@ let read_file path =
   close_in ic;
   s
 
-(* Run the CLI with args; return (exit_code, stdout++stderr). *)
-let run args =
+(* Run the CLI with args, from [dir] when given; return
+   (exit_code, stdout++stderr). *)
+let run ?dir args =
   let out = Filename.temp_file "autobraid_cli" ".out" in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args
-      (Filename.quote out)
+    match dir with
+    | None ->
+      Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args
+        (Filename.quote out)
+    | Some dir ->
+      Printf.sprintf "cd %s && %s %s > %s 2>&1" (Filename.quote dir)
+        (Filename.quote (Filename.concat (Sys.getcwd ()) cli))
+        args (Filename.quote out)
   in
   let code = Sys.command cmd in
   let text = read_file out in
@@ -51,8 +58,12 @@ let test_compile_builtin () =
   check_bool "reliability" true (contains out "failure prob.")
 
 let test_compile_baseline_and_sp () =
-  let code, _ = run "compile qft9 -s baseline" in
+  let code, out = run "compile qft9 -s baseline" in
   check_int "baseline ok" 0 code;
+  (* -s baseline is the greedy backend on the bisected placement *)
+  let code, greedy = run "schedule qft9 --backend greedy --initial bisect" in
+  check_int "greedy ok" 0 code;
+  Alcotest.(check string) "baseline = greedy on bisect" greedy out;
   let code, _ = run "compile qft9 -s sp --initial metis" in
   check_int "sp ok" 0 code
 
@@ -299,6 +310,29 @@ let test_batch_jobs_byte_identical () =
       check_bool "ok records present" true (contains out1 "\"status\":\"ok\"");
       check_bool "ids echoed" true (contains out1 "\"id\":\"a\""))
 
+(* verify labels every certificate with its job: on the fixture manifest
+   (two jobs per circuit) the six summary lines are pairwise distinct and
+   each names its job id. *)
+let test_verify_manifest_labels () =
+  (* The manifest's file circuits resolve from the repository root. *)
+  let root = List.find (fun d -> Sys.file_exists (Filename.concat d "fixtures")) [ ".."; "." ] in
+  let code, out = run ~dir:root "verify fixtures/batch_manifest.json" in
+  check_int "exit 0" 0 code;
+  let lines =
+    List.filter
+      (fun l -> contains l "certified")
+      (String.split_on_char '\n' out)
+  in
+  check_int "six summaries" 6 (List.length lines);
+  check_int "pairwise distinct" 6 (List.length (List.sort_uniq compare lines));
+  List.iter2
+    (fun id line -> check_bool (id ^ " in " ^ line) true (contains line id))
+    [
+      "qft9-braid"; "qft9-surgery"; "bv12-braid"; "bv12-baseline";
+      "longrange8"; "adder4-opt";
+    ]
+    lines
+
 let test_batch_cache_warm_identical () =
   with_manifest {|[{"circuit": "qft9"}, {"circuit": "qft9", "seed": 12}]|}
     (fun manifest ->
@@ -407,6 +441,8 @@ let () =
           Alcotest.test_case "warm cache identical" `Quick
             test_batch_cache_warm_identical;
           Alcotest.test_case "bad manifest" `Quick test_batch_bad_manifest;
+          Alcotest.test_case "verify labels jobs" `Quick
+            test_verify_manifest_labels;
         ] );
       ( "lint",
         [

@@ -114,8 +114,8 @@ let gen_spec : Spec.t QCheck.Gen.t =
   let open QCheck.Gen in
   let* id = opt (string_size ~gen:(char_range 'a' 'z') (int_range 1 8)) in
   let* circuit = oneofl [ "qft9"; "bv12"; "fixtures/x.qasm" ] in
-  let* backend = oneofl [ "braid"; "surgery" ] in
-  let* scheduler = oneofl [ Spec.Full; Spec.Sp; Spec.Baseline ] in
+  let* backend = oneofl [ "braid"; "surgery"; "greedy" ] in
+  let* scheduler = oneofl [ Spec.Full; Spec.Sp ] in
   let* d = int_range 1 63 in
   let* seed = small_nat in
   let* threshold_p = float_bound_exclusive 1.0 in
@@ -283,22 +283,24 @@ let test_spec_validate () =
          best_p = true;
          backend_options = [ ("variant", CB.Options.String "full") ];
        });
-  check_bool "baseline options decode via gp_baseline" true
+  check_bool "greedy options decode via its registry entry" true
     (ok
        {
          Spec.default with
          circuit = "x";
-         scheduler = Spec.Baseline;
+         backend = "greedy";
          backend_options = [ ("router", CB.Options.String "astar") ];
        });
-  check_bool "baseline rejects braid keys" false
+  check_bool "greedy rejects braid keys" false
     (ok
        {
          Spec.default with
          circuit = "x";
-         scheduler = Spec.Baseline;
+         backend = "greedy";
          backend_options = [ ("variant", CB.Options.String "sp") ];
-       })
+       });
+  check_bool "best_p on greedy invalid" false
+    (ok { Spec.default with circuit = "x"; backend = "greedy"; best_p = true })
 
 let test_manifest_forms () =
   let one = {|{"circuit": "qft9"}|} in
@@ -329,7 +331,7 @@ let test_registry () =
     (names = List.map (fun (e : CB.entry) -> e.CB.name) (CB.all ()));
   List.iter
     (fun b -> check_bool ("names list " ^ b) true (List.mem b names))
-    [ "braid"; "surgery"; "lookahead" ]
+    [ "braid"; "surgery"; "lookahead"; "greedy" ]
 
 (* register replaces by name: the latest registration wins, and the
    registry stays sorted and duplicate-free *)
@@ -698,6 +700,10 @@ let test_cache_concurrent_writers () =
 let spec ?(backend = "braid") ?(scheduler = Spec.Full) circuit =
   { Spec.default with circuit; backend; scheduler }
 
+(* The greedy baseline as manifests have always run it: on the bisected
+   placement. *)
+let greedy circuit = { (spec ~backend:"greedy" circuit) with initial = IL.Bisected }
+
 let test_run_spec_ok () =
   match Engine.run_spec (spec "qft9") with
   | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
@@ -724,13 +730,13 @@ let test_run_spec_matches_direct_scheduler () =
    records none and is still rejected. *)
 let test_run_spec_certifies_baseline () =
   let certified s = { s with Spec.outputs = { s.Spec.outputs with certificate = true } } in
-  let baseline = certified (spec ~scheduler:Spec.Baseline "bv12") in
+  let baseline = certified (greedy "bv12") in
   check_bool "baseline + certificate validates" true
     (Result.is_ok (Spec.validate baseline));
   (match Engine.run_spec baseline with
   | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
   | Ok p -> (
-    check_string "backend" "gp-baseline" p.Engine.backend;
+    check_string "backend" "greedy" p.Engine.backend;
     check_bool "trace present" true (p.Engine.trace <> None);
     match p.Engine.certificate with
     | None -> Alcotest.fail "no certificate"
@@ -740,6 +746,108 @@ let test_run_spec_certifies_baseline () =
         true (Qec_verify.Certifier.ok cert)));
   check_bool "best_p + certificate rejected" true
     (Result.is_error (Spec.validate { (certified (spec "qft9")) with Spec.best_p = true }))
+
+(* The legacy "scheduler": "baseline" spelling decodes to the greedy
+   backend on bisect, whatever [initial] says, and still schedules the
+   pinned d = 5 known answers of test_baseline.ml through the engine. *)
+let test_legacy_baseline_decode () =
+  let decode ?(circuit = "qft100") fields =
+    Spec.of_json
+      (Result.get_ok
+         (Json.of_string
+            (Printf.sprintf {|{"circuit": %S, "scheduler": "baseline"%s}|}
+               circuit fields)))
+  in
+  (match decode "" with
+  | Error e -> Alcotest.failf "legacy spec rejected: %s" e
+  | Ok s ->
+    check_string "backend" "greedy" s.Spec.backend;
+    check_bool "initial bisect" true (s.Spec.initial = IL.Bisected);
+    check_bool "scheduler full" true (s.Spec.scheduler = Spec.Full));
+  check_bool "initial overridden" true
+    (match decode {|, "initial": "anneal"|} with
+    | Ok s -> s.Spec.initial = IL.Bisected
+    | Error _ -> false);
+  check_bool "braid backend accepted" true
+    (Result.is_ok (decode {|, "backend": "braid"|}));
+  check_bool "surgery backend rejected" true
+    (Result.is_error (decode {|, "backend": "surgery"|}));
+  check_bool "best_p rejected" true
+    (match decode {|, "best_p": true|} with
+    | Ok s -> Result.is_error (Spec.validate s)
+    | Error _ -> true);
+  List.iter
+    (fun (circuit, router, cycles) ->
+      match
+        decode ~circuit
+          (Printf.sprintf {|, "d": 5, "backend_options": {"router": %S}|}
+             router)
+      with
+      | Error e -> Alcotest.failf "legacy spec rejected: %s" e
+      | Ok s -> (
+        match Engine.run_spec s with
+        | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
+        | Ok p ->
+          check_int
+            (Printf.sprintf "%s %s cycles" circuit router)
+            cycles p.Engine.result.Autobraid.Scheduler.total_cycles))
+    [
+      ("qft100", "dimension", 10410);
+      ("qft100", "astar", 7690);
+      ("urf2_277", "dimension", 92365);
+    ]
+
+(* Greedy takes the registry path, placement cache included: a cold and
+   a warm disk-cached batch schedule exactly what Gp_baseline.run_traced
+   does on its own placement. *)
+let test_greedy_cached_batch_matches_direct () =
+  let timing = Qec_surface.Timing.make ~d:Qec_surface.Timing.default_d () in
+  let cases = [ ("qft16", 11, "dimension"); ("qft16", 12, "astar"); ("bv12", 13, "dimension") ] in
+  let specs =
+    List.map
+      (fun (c, seed, router) ->
+        {
+          (greedy c) with
+          Spec.seed;
+          backend_options = [ ("router", CB.Options.String router) ];
+        })
+      cases
+  in
+  let direct =
+    List.map
+      (fun (c, seed, router) ->
+        Gp_baseline.run_traced
+          ~options:
+            {
+              Gp_baseline.default_options with
+              seed;
+              router =
+                (if router = "astar" then Gp_baseline.Astar
+                 else Gp_baseline.Dimension_ordered);
+            }
+          timing (B.Registry.build c))
+      cases
+  in
+  let render trace = Json.to_string (Qec_report.Export.trace_to_json trace) in
+  with_temp_dir (fun dir ->
+      let check_pass what status jobs =
+        List.iter2
+          (fun (j : Engine.job) (result, trace) ->
+            check_bool (what ^ " cache status") true (j.Engine.cache = status);
+            match j.Engine.outcome with
+            | Error e -> Alcotest.failf "%s job failed: %s" what e.Engine.message
+            | Ok p ->
+              check_int (what ^ " cycles")
+                result.Autobraid.Scheduler.total_cycles
+                p.Engine.result.Autobraid.Scheduler.total_cycles;
+              check_bool (what ^ " trace") true
+                (Option.map render p.Engine.trace = Some (render trace)))
+          jobs direct
+      in
+      check_pass "cold" Engine.Miss
+        (Engine.run_batch ~jobs:2 ~cache:(Cache.create ~dir ()) specs);
+      check_pass "warm" Engine.Disk_hit
+        (Engine.run_batch ~jobs:2 ~cache:(Cache.create ~dir ()) specs))
 
 let test_run_spec_errors () =
   let kind s =
@@ -758,7 +866,7 @@ let batch_specs =
     spec "qft9";
     spec ~backend:"surgery" "bv12";
     spec "no_such_circuit";
-    spec ~scheduler:Spec.Baseline "bv12";
+    greedy "bv12";
     spec "qft9" (* duplicate: exercises the cache under contention *);
   ]
 
@@ -900,5 +1008,9 @@ let () =
             test_run_batch_cache_determinism;
           Alcotest.test_case "record shape" `Quick test_job_json_shape;
           Alcotest.test_case "baseline certifies" `Quick test_run_spec_certifies_baseline;
+          Alcotest.test_case "legacy baseline decode" `Quick
+            test_legacy_baseline_decode;
+          Alcotest.test_case "greedy cached batch = direct" `Quick
+            test_greedy_cached_batch_matches_direct;
         ] );
     ]

@@ -11,6 +11,7 @@ let check_bool = Alcotest.(check bool)
 
 let grid = Grid.create 6
 let router = Router.create grid
+let reference = Reference_router.create grid
 let cell x y = Grid.cell_id grid ~x ~y
 let vid x y = Grid.vertex_id grid ~x ~y
 
@@ -214,7 +215,7 @@ let test_differential_fixtures () =
       (fun (src, dst, bounds) ->
         Alcotest.(check (option (list int)))
           "arena = reference"
-          (verts (Router.route_reference ?bounds router occ ~src_cell:src ~dst_cell:dst))
+          (verts (Reference_router.route ?bounds reference occ ~src_cell:src ~dst_cell:dst))
           (verts (Router.route ?bounds router occ ~src_cell:src ~dst_cell:dst)))
       [
         (cell 0 0, cell 5 5, None);
@@ -261,7 +262,84 @@ let prop_route_matches_reference =
       in
       let src_cell = cell x1 y1 and dst_cell = cell x2 y2 in
       verts (Router.route ?bounds router occ ~src_cell ~dst_cell)
-      = verts (Router.route_reference ?bounds router occ ~src_cell ~dst_cell))
+      = verts (Reference_router.route ?bounds reference occ ~src_cell ~dst_cell))
+
+(* Differential: the coordinate-walking dimension-ordered router must
+   pick exactly the path the pre-rewrite version picks. That version,
+   kept verbatim below, builds all 32 corner-pair L-paths as vertex lists
+   and takes the first free one in a stable sort by length. *)
+
+(* Vertex ids along a straight channel segment from (x1,y1) to (x2,y2),
+   endpoints included; the coordinates must share an axis. *)
+let segment grid (x1, y1) (x2, y2) =
+  if x1 = x2 then
+    let step = if y2 >= y1 then 1 else -1 in
+    List.init
+      (abs (y2 - y1) + 1)
+      (fun i -> Grid.vertex_id grid ~x:x1 ~y:(y1 + (i * step)))
+  else begin
+    assert (y1 = y2);
+    let step = if x2 >= x1 then 1 else -1 in
+    List.init
+      (abs (x2 - x1) + 1)
+      (fun i -> Grid.vertex_id grid ~x:(x1 + (i * step)) ~y:y1)
+  end
+
+let l_candidates grid a b =
+  let axy = Grid.vertex_xy grid a and bxy = Grid.vertex_xy grid b in
+  let ax, ay = axy and bx, by = bxy in
+  if a = b then [ [ a ] ]
+  else if ax = bx || ay = by then [ segment grid axy bxy ]
+  else begin
+    let x_first = segment grid axy (bx, ay) @ List.tl (segment grid (bx, ay) bxy) in
+    let y_first = segment grid axy (ax, by) @ List.tl (segment grid (ax, by) bxy) in
+    [ x_first; y_first ]
+  end
+
+let route_dimension_ordered_reference grid occ ~src_cell ~dst_cell =
+  let corners_src = Array.to_list (Grid.cell_corners grid src_cell)
+  and corners_dst = Array.to_list (Grid.cell_corners grid dst_cell) in
+  let candidates =
+    List.concat_map
+      (fun a -> List.concat_map (fun b -> l_candidates grid a b) corners_dst
+                |> List.map (fun p -> (a, p)))
+      corners_src
+    |> List.map snd
+  in
+  let candidates =
+    List.stable_sort
+      (fun p q -> compare (List.length p) (List.length q))
+      candidates
+  in
+  let free p = List.for_all (Occupancy.is_free occ) p in
+  match List.find_opt free candidates with
+  | None -> None
+  | Some verts -> Some (Path.of_vertices grid verts)
+
+let prop_dimension_ordered_matches_reference =
+  QCheck.Test.make
+    ~name:"dimension-ordered = list-based reference (sides 4-18, random \
+           occupancy)"
+    ~count:1000
+    QCheck.(
+      quad (int_range 4 18)
+        (pair (int_bound 1_000_000) (int_bound 1_000_000))
+        (int_bound 100) (int_bound 1_000_000))
+    (fun (side, (src, dst), density, occ_seed) ->
+      let grid = Grid.create side in
+      let cells = side * side in
+      let src_cell = src mod cells and dst_cell = dst mod cells in
+      QCheck.assume (src_cell <> dst_cell);
+      let occ = Occupancy.create grid in
+      let rng = Random.State.make [| occ_seed |] in
+      for v = 0 to Grid.num_vertices grid - 1 do
+        if Random.State.int rng 100 < density then
+          Occupancy.reserve_path occ (Path.of_vertices grid [ v ])
+      done;
+      verts
+        (Router.route_dimension_ordered (Router.create grid) occ ~src_cell
+           ~dst_cell)
+      = verts (route_dimension_ordered_reference grid occ ~src_cell ~dst_cell))
 
 let () =
   Alcotest.run "router"
@@ -291,5 +369,6 @@ let () =
           Alcotest.test_case "straight" `Quick test_dimension_ordered_straight;
           Alcotest.test_case "bend" `Quick test_dimension_ordered_bend;
           Alcotest.test_case "stalls where A* detours" `Quick test_dimension_ordered_stalls;
+          QCheck_alcotest.to_alcotest prop_dimension_ordered_matches_reference;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Unit and property tests for the qec_util support library. *)
 
 module Rng = Qec_util.Rng
-module Heap = Qec_util.Heap
+module Heap = Poly_heap
 module Union_find = Qec_util.Union_find
 module Bitset = Qec_util.Bitset
 module Stats = Qec_util.Stats
